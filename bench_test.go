@@ -49,7 +49,7 @@ func distOnce(b *testing.B, p gen.Params) {
 	pl.Options = compile.Options{MaxNodes: 5_000_000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pl.Distribution(inst.Expr); err != nil {
+		if _, _, err := pl.Distribution(context.Background(), inst.Expr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,8 +274,9 @@ func BenchmarkParallelProbabilities(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCompile: single-expression compilation with Shannon
-// branches fanned out, on a hard random instance (two-sided comparison).
+// BenchmarkParallelCompile: single-expression compilation at
+// parallelism 1, 2 and 4 (independent sub-problems and Shannon branches
+// fanned out) on a hard random instance (two-sided comparison).
 func BenchmarkParallelCompile(b *testing.B) {
 	p := benchBase()
 	p.NumClauses = 2
@@ -287,20 +288,16 @@ func BenchmarkParallelCompile(b *testing.B) {
 	inst := gen.MustNew(p)
 	pl := core.New(algebra.Boolean, inst.Registry)
 	pl.Options = compile.Options{MaxNodes: 20_000_000}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pl.Distribution(inst.Expr); err != nil {
-				b.Fatal(err)
+	for _, par := range []int{1, 2, 4} {
+		pl.Parallelism = par
+		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := pl.Distribution(context.Background(), inst.Expr); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pl.DistributionParallel(inst.Expr, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkApproxVsExact: the anytime approximate engine against exact
@@ -323,7 +320,7 @@ func BenchmarkApproxVsExact(b *testing.B) {
 	pl.Options = compile.Options{MaxNodes: 20_000_000}
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := pl.Distribution(inst.Expr); err != nil {
+			if _, _, err := pl.Distribution(context.Background(), inst.Expr); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -331,7 +328,7 @@ func BenchmarkApproxVsExact(b *testing.B) {
 	for _, eps := range []float64{0.05, 0.01} {
 		b.Run(fmt.Sprintf("approx/eps=%g", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, rep, err := pl.TruthProbabilityApprox(inst.Expr, compile.ApproxOptions{Eps: eps})
+				_, rep, err := pl.TruthProbabilityApprox(context.Background(), inst.Expr, compile.ApproxOptions{Eps: eps})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -376,7 +373,7 @@ func BenchmarkAblationNoPruning(b *testing.B) {
 			pl.Options = compile.Options{DisablePruning: off, MaxNodes: 5_000_000}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := pl.Distribution(inst.Expr); err != nil {
+				if _, _, err := pl.Distribution(context.Background(), inst.Expr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -400,7 +397,7 @@ func BenchmarkAblationNoMemo(b *testing.B) {
 			pl.Options = compile.Options{DisableMemo: off, MaxNodes: 20_000_000}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := pl.Distribution(inst.Expr); err != nil {
+				if _, _, err := pl.Distribution(context.Background(), inst.Expr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -428,7 +425,7 @@ func BenchmarkAblationVarOrder(b *testing.B) {
 			pl.Options = compile.Options{Order: o.ord, MaxNodes: 20_000_000}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := pl.Distribution(inst.Expr); err != nil {
+				if _, _, err := pl.Distribution(context.Background(), inst.Expr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -471,7 +468,7 @@ func BenchmarkAblationNoFactoring(b *testing.B) {
 			pl.Options = compile.Options{DisableFactoring: off, MaxNodes: 20_000_000}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := pl.Distribution(e); err != nil {
+				if _, _, err := pl.Distribution(context.Background(), e); err != nil {
 					b.Fatal(err)
 				}
 			}

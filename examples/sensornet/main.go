@@ -95,7 +95,7 @@ func main() {
 	// Exact joint distribution of (quorum condition, report count) —
 	// correlated expressions, handled by mutex decomposition (the one
 	// computation with no Exec counterpart: it stays on the Pipeline).
-	joint, err := pvcagg.NewPipeline(pvcagg.Boolean, reg).Joint([]pvcagg.Expr{quorum, reports})
+	joint, err := pvcagg.NewPipeline(pvcagg.Boolean, reg).Joint(ctx, []pvcagg.Expr{quorum, reports})
 	if err != nil {
 		log.Fatal(err)
 	}

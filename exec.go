@@ -7,6 +7,7 @@ import (
 	"iter"
 	"math"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"pvcagg/internal/algebra"
@@ -914,20 +915,16 @@ func ExecExpr(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, opt
 }
 
 func execExprExact(ctx context.Context, e Expr, reg *Registry, kind SemiringKind, ecfg engine.ExecConfig, strat Strategy) (*ExprResult, error) {
-	pl := &core.Pipeline{Semiring: algebra.SemiringFor(kind), Registry: reg, Options: ecfg.Compile}
-	var (
-		d   Dist
-		rep Report
-		err error
-	)
-	// Parallelism follows WithParallelism's convention: 1 is sequential,
-	// <= 0 is GOMAXPROCS; a single expression parallelises by fanning its
-	// Shannon branches out (bit-for-bit identical results on every path).
-	if ecfg.Parallelism == 1 {
-		d, rep, err = pl.DistributionCtx(ctx, e)
-	} else {
-		d, rep, err = pl.DistributionParallelCtx(ctx, e, ecfg.Parallelism)
+	// Parallelism follows WithParallelism's convention: <= 0 is
+	// GOMAXPROCS; a single expression parallelises by fanning its
+	// independent sub-problems and Shannon branches out (bit-for-bit
+	// identical results at every parallelism).
+	par := ecfg.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
+	pl := &core.Pipeline{Semiring: algebra.SemiringFor(kind), Registry: reg, Options: ecfg.Compile, Parallelism: par}
+	d, rep, err := pl.Distribution(ctx, e)
 	if err != nil {
 		return nil, err
 	}

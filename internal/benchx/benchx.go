@@ -43,8 +43,8 @@ type Point struct {
 type Options struct {
 	Runs     int // expressions per point (paper: 10–40)
 	MaxNodes int // compilation node budget per run (0 = unlimited)
-	// Parallel is the compilation parallelism per run: 1 (or 0) keeps
-	// the sequential path; > 1 measures the parallel compiler instead.
+	// Parallel is the compilation parallelism per run: 1 (or 0)
+	// compiles inline; > 1 fans independent sub-problems out.
 	Parallel int
 	// Eps > 0 measures the anytime approximate engine at that target
 	// bound width instead of exact compilation; the Nodes column then
@@ -74,9 +74,10 @@ func measure(p gen.Params, o Options) Point {
 		p.Seed = int64(r + 1)
 		inst := gen.MustNew(p)
 		pl := core.Pipeline{
-			Semiring: algebra.SemiringFor(algebra.Boolean),
-			Registry: inst.Registry,
-			Options:  compile.Options{MaxNodes: o.MaxNodes},
+			Semiring:    algebra.SemiringFor(algebra.Boolean),
+			Registry:    inst.Registry,
+			Options:     compile.Options{MaxNodes: o.MaxNodes},
+			Parallelism: o.Parallel,
 		}
 		ctx := context.Background()
 		t0 := time.Now()
@@ -84,7 +85,7 @@ func measure(p gen.Params, o Options) Point {
 		var err error
 		if o.Eps > 0 {
 			var arep compile.ApproxReport
-			_, arep, err = pl.TruthProbabilityApproxCtx(ctx, inst.Expr, compile.ApproxOptions{Eps: o.Eps, MaxNodes: o.MaxNodes})
+			_, arep, err = pl.TruthProbabilityApprox(ctx, inst.Expr, compile.ApproxOptions{Eps: o.Eps, MaxNodes: o.MaxNodes})
 			runNodes = arep.TotalNodes()
 			if err == nil && !arep.Converged {
 				// A budget-exhausted anytime run is the analogue of the
@@ -95,11 +96,7 @@ func measure(p gen.Params, o Options) Point {
 			}
 		} else {
 			var rep core.Report
-			if o.Parallel > 1 {
-				_, rep, err = pl.DistributionParallelCtx(ctx, inst.Expr, o.Parallel)
-			} else {
-				_, rep, err = pl.DistributionCtx(ctx, inst.Expr)
-			}
+			_, rep, err = pl.Distribution(ctx, inst.Expr)
 			runNodes = rep.Tree.Nodes
 		}
 		if err != nil {

@@ -7,6 +7,7 @@
 package compile_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -66,7 +67,7 @@ func TestApproxDifferentialFuzz(t *testing.T) {
 			t.Fatalf("params %+v: %v", p, err)
 		}
 		pl := core.New(algebra.Boolean, inst.Registry)
-		exact, _, err := pl.TruthProbability(inst.Expr)
+		exact, _, err := pl.TruthProbability(context.Background(), inst.Expr)
 		if err != nil {
 			t.Fatalf("seed %d params %+v: exact: %v", p.Seed, p, err)
 		}
@@ -103,7 +104,7 @@ func TestApproxEpsZeroBitForBit(t *testing.T) {
 	for _, p := range fuzzParams(2) {
 		inst := gen.MustNew(p)
 		pl := core.New(algebra.Boolean, inst.Registry)
-		exact, _, err := pl.TruthProbability(inst.Expr)
+		exact, _, err := pl.TruthProbability(context.Background(), inst.Expr)
 		if err != nil {
 			t.Fatalf("seed %d params %+v: exact: %v", p.Seed, p, err)
 		}
@@ -132,7 +133,7 @@ func TestApproxMonotoneTightening(t *testing.T) {
 		}
 		inst := gen.MustNew(p)
 		pl := core.New(algebra.Boolean, inst.Registry)
-		exact, _, err := pl.TruthProbability(inst.Expr)
+		exact, _, err := pl.TruthProbability(context.Background(), inst.Expr)
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}
@@ -176,7 +177,7 @@ func TestApproxBudgets(t *testing.T) {
 	}
 	inst := gen.MustNew(p)
 	pl := core.New(algebra.Boolean, inst.Registry)
-	exact, _, err := pl.TruthProbability(inst.Expr)
+	exact, _, err := pl.TruthProbability(context.Background(), inst.Expr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,38 +83,40 @@ func TestSharedCacheBitForBit(t *testing.T) {
 	}
 }
 
-// TestSharedCacheParallelCompiler: the parallel compiler with a shared
-// cache stays bit-for-bit with the sequential compiler without one.
+// TestSharedCacheParallelCompiler: compiling with a shared cache at
+// every parallelism stays bit-for-bit with compiling inline without one.
 func TestSharedCacheParallelCompiler(t *testing.T) {
 	reg, es := cacheTestInstance(t, 8)
 	s := algebra.SemiringFor(algebra.Boolean)
-	cache := NewSharedCache(0)
-	for _, e := range es {
-		res, err := New(s, reg, Options{}).Compile(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: s, Registry: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resP, err := NewParallel(s, reg, Options{Shared: cache}, 4).Compile(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := dtree.EvaluateShared(resP.Root, dtree.Env{Semiring: s, Registry: reg}, cache.EvalCache())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want, 0) {
-			t.Fatalf("parallel shared-cache distribution differs: %v vs %v", got, want)
+	for _, par := range []int{1, 2, 4} {
+		cache := NewSharedCache(0)
+		for _, e := range es {
+			res, err := New(s, reg, Options{}).Compile(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: s, Registry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resP, err := NewParallel(s, reg, Options{Shared: cache}, par).Compile(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := dtree.EvaluateShared(resP.Root, dtree.Env{Semiring: s, Registry: reg}, cache.EvalCache())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want, 0) {
+				t.Fatalf("parallelism %d: shared-cache distribution differs: %v vs %v", par, got, want)
+			}
 		}
 	}
 }
 
-// TestSharedCacheConcurrent hammers one cache from many goroutines — the
-// shape of the engine's worker pool — and checks every result against the
-// uncached oracle. Run under -race in CI.
+// TestSharedCacheConcurrent hammers one cache and one forking Compiler
+// from many goroutines — the shape of the engine's worker pool — and
+// checks every result against the uncached oracle. Run under -race in CI.
 func TestSharedCacheConcurrent(t *testing.T) {
 	reg, es := cacheTestInstance(t, 16)
 	s := algebra.SemiringFor(algebra.Boolean)
@@ -134,6 +136,9 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	}
 
 	cache := NewSharedCache(0)
+	// One Compiler serves every worker: CompileCtx keeps its state per
+	// call, so the compiler is shared as freely as the cache.
+	c := NewParallel(s, reg, Options{Shared: cache}, 2)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {
@@ -142,7 +147,6 @@ func TestSharedCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 4; round++ {
 				for i, e := range es {
-					c := New(s, reg, Options{Shared: cache})
 					res, err := c.Compile(e)
 					if err != nil {
 						errs <- err

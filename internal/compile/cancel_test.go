@@ -66,28 +66,20 @@ func assertCancels(t *testing.T, path string, f func(ctx context.Context) error)
 	}
 }
 
-// TestCancelSequentialCompile: a cancelled context aborts the sequential
-// compiler mid-Shannon-expansion, promptly.
-func TestCancelSequentialCompile(t *testing.T) {
+// TestCancelCompile: a cancelled context aborts compilation
+// mid-Shannon-expansion, promptly, at every parallelism — inline, and in
+// every branch of a fork.
+func TestCancelCompile(t *testing.T) {
 	inst := cancelInstance(t)
 	s := algebra.SemiringFor(algebra.Boolean)
-	assertCancels(t, "sequential", func(ctx context.Context) error {
-		c := compile.New(s, inst.Registry, compile.Options{})
-		_, err := c.CompileCtx(ctx, inst.Expr)
-		return err
-	})
-}
-
-// TestCancelParallelCompile: cancellation reaches every worker of the
-// parallel fan-out.
-func TestCancelParallelCompile(t *testing.T) {
-	inst := cancelInstance(t)
-	s := algebra.SemiringFor(algebra.Boolean)
-	assertCancels(t, "parallel", func(ctx context.Context) error {
-		c := compile.NewParallel(s, inst.Registry, compile.Options{}, 4)
-		_, err := c.CompileCtx(ctx, inst.Expr)
-		return err
-	})
+	for _, par := range parallelisms {
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			assertCancels(t, fmt.Sprintf("parallelism %d", par), func(ctx context.Context) error {
+				_, err := compile.NewParallel(s, inst.Registry, compile.Options{}, par).CompileCtx(ctx, inst.Expr)
+				return err
+			})
+		})
+	}
 }
 
 // TestCancelApproximate: cancellation aborts the anytime frontier loop
@@ -109,7 +101,7 @@ func TestCancelApproximate(t *testing.T) {
 // per level, does O(n) substitution work per level, and materialises its
 // decision nodes only post-order. A cancellation poll keyed on created
 // nodes alone never fires during that descent (minutes of work for tens
-// of thousands of tuples), so the compilers also poll on recursion
+// of thousands of tuples), so the compiler also polls on recursion
 // steps; this is the regression test for that descent-side poll.
 func TestCancelShannonDescent(t *testing.T) {
 	const n = 6000
@@ -127,28 +119,25 @@ func TestCancelShannonDescent(t *testing.T) {
 		expr.Sum(presence...),
 	)
 	s := algebra.SemiringFor(algebra.Boolean)
-	assertCancels(t, "descent-sequential", func(ctx context.Context) error {
-		_, err := compile.New(s, reg, compile.Options{}).CompileCtx(ctx, e)
-		return err
-	})
-	assertCancels(t, "descent-parallel", func(ctx context.Context) error {
-		_, err := compile.NewParallel(s, reg, compile.Options{}, 4).CompileCtx(ctx, e)
-		return err
-	})
+	for _, par := range parallelisms {
+		assertCancels(t, fmt.Sprintf("descent at parallelism %d", par), func(ctx context.Context) error {
+			_, err := compile.NewParallel(s, reg, compile.Options{}, par).CompileCtx(ctx, e)
+			return err
+		})
+	}
 }
 
 // TestCancelBeforeStart: an already-cancelled context aborts before any
-// expansion work on all three paths.
+// expansion work, at every parallelism and in the anytime engine.
 func TestCancelBeforeStart(t *testing.T) {
 	inst := cancelInstance(t)
 	s := algebra.SemiringFor(algebra.Boolean)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := compile.New(s, inst.Registry, compile.Options{}).CompileCtx(ctx, inst.Expr); !errors.Is(err, context.Canceled) {
-		t.Errorf("sequential: error = %v, want context.Canceled", err)
-	}
-	if _, err := compile.NewParallel(s, inst.Registry, compile.Options{}, 4).CompileCtx(ctx, inst.Expr); !errors.Is(err, context.Canceled) {
-		t.Errorf("parallel: error = %v, want context.Canceled", err)
+	for _, par := range parallelisms {
+		if _, err := compile.NewParallel(s, inst.Registry, compile.Options{}, par).CompileCtx(ctx, inst.Expr); !errors.Is(err, context.Canceled) {
+			t.Errorf("parallelism %d: error = %v, want context.Canceled", par, err)
+		}
 	}
 	if _, _, err := compile.ApproximateCtx(ctx, s, inst.Registry, inst.Expr, compile.ApproxOptions{Eps: 1e-9}); !errors.Is(err, context.Canceled) {
 		t.Errorf("anytime: error = %v, want context.Canceled", err)

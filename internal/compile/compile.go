@@ -19,6 +19,20 @@
 // and the resulting d-tree is a DAG. An optional SharedCache extends the
 // memoisation across compiler instances — the cross-tuple cache of the
 // engine's worker pools.
+//
+// Parallelism is a schedule, not a second compiler: the sub-problems a
+// rule produces (summand and factor groups, tensor and comparison sides,
+// the branches of ⊔x) are independent, so the order in which they compile
+// does not change the d-tree. At parallelism 1 they compile one after
+// another on the calling goroutine; above 1 spare workers take some of
+// them (see compileAll), sharing one mutex-striped memo. Every heuristic
+// is deterministic, so every parallelism yields a structurally identical
+// d-tree up to sharing and bit-identical distributions. A Compiler holds
+// no per-call state and is safe for concurrent use; the registry must not
+// be mutated while compilations are in flight. Above parallelism 1,
+// Options.MaxNodes bounds the nodes created by all workers together,
+// which can slightly exceed the sequential count when two workers race to
+// compile the same sub-expression, so the budget is approximate there.
 package compile
 
 import (
@@ -94,15 +108,38 @@ type Result struct {
 	Stats Stats
 }
 
+func (s *Stats) add(o Stats) {
+	s.SumSplits += o.SumSplits
+	s.ProductSplits += o.ProductSplits
+	s.TensorSplits += o.TensorSplits
+	s.CmpSplits += o.CmpSplits
+	s.Factorings += o.Factorings
+	s.Shannon += o.Shannon
+	s.PrunedTerms += o.PrunedTerms
+	s.CacheHits += o.CacheHits
+	s.SharedHits += o.SharedHits
+	s.Nodes += o.Nodes
+}
+
 // Compiler compiles expressions over a fixed semiring and variable
-// registry. It is not safe for concurrent use.
+// registry with a fixed parallelism. Every CompileCtx call owns its
+// state, so a Compiler is safe for concurrent use.
 type Compiler struct {
 	s    algebra.Semiring
 	reg  *vars.Registry
 	opts Options
-	memo exprMemo
+	par  int
+}
+
+// run is the state of one CompileCtx call. An inline run (fk == nil)
+// owns a plain memo; the runs of a parallel call share fk, one per
+// concurrently compiling branch, each with its own Stats.
+type run struct {
+	*Compiler
 	ctx  context.Context
 	st   Stats
+	memo exprMemo
+	fk   *fork
 	// steps counts compile() entries; unlike Stats.Nodes it advances on
 	// the way *down* a Shannon descent (whose decision nodes only
 	// materialise post-order), so cancellation polls keyed on it reach
@@ -131,8 +168,8 @@ func newExprMemo() exprMemo {
 }
 
 // findEntry scans a hash bucket for a structurally equal expression; it
-// is the one collision-resolution routine shared by the per-compiler
-// memo, the parallel sharded memo and the cross-tuple SharedCache.
+// is the one collision-resolution routine shared by the inline memo, the
+// sharded memo of parallel runs and the cross-tuple SharedCache.
 func findEntry(bucket []memoEntry, e expr.Expr) (dtree.Node, bool) {
 	for _, ent := range bucket {
 		if expr.Equal(ent.e, e) {
@@ -163,9 +200,17 @@ func (m *exprMemo) put(h uint64, e expr.Expr, n dtree.Node) {
 	m.over[h] = append(m.over[h], memoEntry{e, n})
 }
 
-// New returns a Compiler for the given semiring and registry.
+// New returns a Compiler for the given semiring and registry that
+// compiles on the calling goroutine.
 func New(s algebra.Semiring, reg *vars.Registry, opts Options) *Compiler {
-	return &Compiler{s: s, reg: reg, opts: opts, memo: newExprMemo()}
+	return NewParallel(s, reg, opts, 1)
+}
+
+// NewParallel returns a Compiler running at most parallelism goroutines
+// per CompileCtx call, the calling one included; parallelism <= 1
+// compiles inline, spawning no goroutines.
+func NewParallel(s algebra.Semiring, reg *vars.Registry, opts Options, parallelism int) *Compiler {
+	return &Compiler{s: s, reg: reg, opts: opts, par: max(parallelism, 1)}
 }
 
 // ctxCheckMask throttles cancellation polls to one per 256 nodes created:
@@ -194,135 +239,178 @@ func (c *Compiler) CompileCtx(ctx context.Context, e expr.Expr) (Result, error) 
 	if err := c.reg.CheckDeclared(e); err != nil {
 		return Result{}, err
 	}
-	c.ctx = ctx
-	c.st = Stats{}
-	c.steps = 0
-	root, err := c.compile(expr.Simplify(e, c.s))
+	r := &run{Compiler: c, ctx: ctx}
+	if c.par > 1 {
+		r.fk = newFork(c.par)
+	} else {
+		r.memo = newExprMemo()
+	}
+	root, err := r.compile(expr.Simplify(e, c.s))
 	if err != nil {
 		// Stats survive failure so callers (notably the anytime engine's
 		// budgeted closure attempts) can account for the work done.
-		return Result{Stats: c.st}, err
+		return Result{Stats: r.st}, err
 	}
-	return Result{Root: root, Stats: c.st}, nil
+	return Result{Root: root, Stats: r.st}, nil
 }
 
-func (c *Compiler) newNode(n dtree.Node) (dtree.Node, error) {
-	c.st.Nodes++
-	if c.ctx != nil && c.st.Nodes&ctxCheckMask == 0 {
-		if err := c.ctx.Err(); err != nil {
+func (r *run) newNode(n dtree.Node) (dtree.Node, error) {
+	r.st.Nodes++
+	total := r.st.Nodes
+	if r.fk != nil {
+		total = int(r.fk.nodes.Add(1))
+	}
+	if r.st.Nodes&ctxCheckMask == 0 {
+		if err := r.ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	if c.opts.MaxNodes > 0 && c.st.Nodes > c.opts.MaxNodes {
-		return nil, fmt.Errorf("compile: d-tree exceeds %d nodes: %w", c.opts.MaxNodes, ErrNodeBudget)
+	if r.opts.MaxNodes > 0 && total > r.opts.MaxNodes {
+		return nil, fmt.Errorf("compile: d-tree exceeds %d nodes: %w", r.opts.MaxNodes, ErrNodeBudget)
 	}
 	return n, nil
 }
 
-func (c *Compiler) compile(e expr.Expr) (dtree.Node, error) {
+// memoGet and memoPut reach the run's memo: its own when inline, the
+// fork's shared one otherwise. memoPut returns the node stored under
+// (h, e), which under a race between branches is the first one stored.
+func (r *run) memoGet(h uint64, e expr.Expr) (dtree.Node, bool) {
+	if r.fk != nil {
+		return r.fk.memo.get(h, e)
+	}
+	return r.memo.get(h, e)
+}
+
+func (r *run) memoPut(h uint64, e expr.Expr, n dtree.Node) dtree.Node {
+	if r.fk != nil {
+		return r.fk.memo.put(h, e, n)
+	}
+	r.memo.put(h, e, n)
+	return n
+}
+
+func (r *run) compile(e expr.Expr) (dtree.Node, error) {
+	if r.fk != nil && r.fk.aborted.Load() {
+		return nil, errStopped
+	}
 	// A Shannon descent over a large sum does O(|e|) substitution and
 	// simplification work per level and creates its decision nodes only
 	// post-order, so the newNode poll alone can leave a cancelled
 	// context unnoticed for the entire descent. Poll here too, keyed on
 	// recursion steps rather than created nodes.
-	c.steps++
-	if c.ctx != nil && c.steps&ctxCheckMask == 0 {
-		if err := c.ctx.Err(); err != nil {
+	r.steps++
+	if r.steps&ctxCheckMask == 0 {
+		if err := r.ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
 	// Rule 0: expressions without variables are constant leaves.
 	if !expr.HasVars(e) {
-		v, err := expr.Eval(e, nil, c.s)
+		v, err := expr.Eval(e, nil, r.s)
 		if err != nil {
 			return nil, err
 		}
-		return c.newNode(&dtree.ConstLeaf{V: v, Module: e.Kind() == expr.KindModule})
+		return r.newNode(&dtree.ConstLeaf{V: v, Module: e.Kind() == expr.KindModule})
 	}
 	if v, ok := e.(expr.Var); ok {
-		return c.newNode(&dtree.VarLeaf{Name: v.Name, ID: v.ID()})
+		return r.newNode(&dtree.VarLeaf{Name: v.Name, ID: v.ID()})
 	}
 	var h uint64
-	memoised := !c.opts.DisableMemo
+	memoised := !r.opts.DisableMemo
 	if memoised {
 		h = expr.Hash(e)
-		if n, ok := c.memo.get(h, e); ok {
-			c.st.CacheHits++
+		if n, ok := r.memoGet(h, e); ok {
+			r.st.CacheHits++
 			return n, nil
 		}
-		if sc := c.opts.Shared; sc != nil {
+		if sc := r.opts.Shared; sc != nil {
 			if n, ok := sc.lookup(h, e); ok {
-				c.st.CacheHits++
-				c.st.SharedHits++
-				c.memo.put(h, e, n)
-				return n, nil
+				r.st.CacheHits++
+				r.st.SharedHits++
+				return r.memoPut(h, e, n), nil
 			}
 		}
 	}
-	n, err := c.compileUncached(e)
+	n, err := r.compileUncached(e)
 	if err != nil {
 		return nil, err
 	}
 	if memoised {
-		if sc := c.opts.Shared; sc != nil {
+		if sc := r.opts.Shared; sc != nil {
 			n = sc.insert(h, e, n)
 		}
-		c.memo.put(h, e, n)
+		n = r.memoPut(h, e, n)
 	}
 	return n, nil
 }
 
-func (c *Compiler) compileUncached(e expr.Expr) (dtree.Node, error) {
+func (r *run) compileUncached(e expr.Expr) (dtree.Node, error) {
 	switch n := e.(type) {
 	case expr.Add:
-		return c.compileSum(n.Terms, false, 0, e)
+		return r.compileSum(n.Terms, false, 0, e)
 	case expr.AggSum:
-		return c.compileSum(n.Terms, true, n.Agg, e)
+		return r.compileSum(n.Terms, true, n.Agg, e)
 	case expr.Mul:
-		return c.compileProduct(n, e)
+		return r.compileProduct(n, e)
 	case expr.Tensor:
-		return c.compileTensor(n, e)
+		return r.compileTensor(n, e)
 	case expr.Cmp:
-		return c.compileCmp(n)
+		return r.compileCmp(n)
 	default:
 		return nil, fmt.Errorf("compile: unexpected node %T", e)
 	}
 }
 
+// compileAll compiles the independent sub-problems es into out, which
+// has the same length: the groups of a split, the sides of a tensor or
+// comparison, the branches of ⊔x. An inline run compiles them one after
+// another; a parallel run forks (see fork.go).
+func (r *run) compileAll(es []expr.Expr, out []dtree.Node) error {
+	if r.fk != nil {
+		return r.forkAll(es, out)
+	}
+	for i, e := range es {
+		n, err := r.compile(e)
+		if err != nil {
+			return err
+		}
+		out[i] = n
+	}
+	return nil
+}
+
 // compileSum handles Add (module=false) and AggSum (module=true): rule 1
 // (independent partition), then factoring, then Shannon.
-func (c *Compiler) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, whole expr.Expr) (dtree.Node, error) {
+func (r *run) compileSum(terms []expr.Expr, module bool, agg algebra.Agg, whole expr.Expr) (dtree.Node, error) {
 	groups := components(terms)
 	if len(groups) > 1 {
-		c.st.SumSplits += len(groups) - 1
-		parts := make([]dtree.Node, len(groups))
+		r.st.SumSplits += len(groups) - 1
+		ges := make([]expr.Expr, len(groups))
 		for i, g := range groups {
-			var ge expr.Expr
 			if module {
-				ge = expr.MSum(agg, g...)
+				ges[i] = expr.Simplify(expr.MSum(agg, g...), r.s)
 			} else {
-				ge = expr.Sum(g...)
+				ges[i] = expr.Simplify(expr.Sum(g...), r.s)
 			}
-			p, err := c.compile(expr.Simplify(ge, c.s))
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = p
 		}
-		return c.combinePlus(parts, module, agg)
+		parts := make([]dtree.Node, len(groups))
+		if err := r.compileAll(ges, parts); err != nil {
+			return nil, err
+		}
+		return r.combinePlus(parts, module, agg)
 	}
-	if !c.opts.DisableFactoring {
-		if node, ok, err := c.tryFactorSum(terms, module, agg); err != nil {
+	if !r.opts.DisableFactoring {
+		if node, ok, err := r.tryFactorSum(terms, module, agg); err != nil {
 			return nil, err
 		} else if ok {
 			return node, nil
 		}
 	}
-	return c.shannon(whole)
+	return r.shannon(whole)
 }
 
 // combinePlus folds independent parts into a balanced binary ⊕ tree.
-func (c *Compiler) combinePlus(parts []dtree.Node, module bool, agg algebra.Agg) (dtree.Node, error) {
+func (r *run) combinePlus(parts []dtree.Node, module bool, agg algebra.Agg) (dtree.Node, error) {
 	for len(parts) > 1 {
 		next := make([]dtree.Node, 0, (len(parts)+1)/2)
 		for i := 0; i < len(parts); i += 2 {
@@ -330,7 +418,7 @@ func (c *Compiler) combinePlus(parts []dtree.Node, module bool, agg algebra.Agg)
 				next = append(next, parts[i])
 				continue
 			}
-			n, err := c.newNode(&dtree.PlusNode{Module: module, Agg: agg, L: parts[i], R: parts[i+1]})
+			n, err := r.newNode(&dtree.PlusNode{Module: module, Agg: agg, L: parts[i], R: parts[i+1]})
 			if err != nil {
 				return nil, err
 			}
@@ -346,26 +434,26 @@ func (c *Compiler) combinePlus(parts []dtree.Node, module bool, agg algebra.Agg)
 // residuals, the sum equals x · (Σ residuals) by distributivity — or
 // x ⊗ (Σ residuals) for semimodule sums, by the semimodule laws
 // (paper Example 14).
-func (c *Compiler) tryFactorSum(terms []expr.Expr, module bool, agg algebra.Agg) (dtree.Node, bool, error) {
+func (r *run) tryFactorSum(terms []expr.Expr, module bool, agg algebra.Agg) (dtree.Node, bool, error) {
 	// Candidate variables: factors of the first term.
 	for _, x := range factorVariables(terms[0], module) {
 		residuals := make([]expr.Expr, len(terms))
 		ok := true
 		for i, t := range terms {
-			r, removed := removeFactor(t, x, module)
+			res, removed := removeFactor(t, x, module)
 			if !removed {
 				ok = false
 				break
 			}
-			residuals[i] = r
+			residuals[i] = res
 		}
 		if !ok {
 			continue
 		}
 		// x must vanish entirely, or the two sides would share it.
 		shared := false
-		for _, r := range residuals {
-			if expr.HasVarID(r, x) {
+		for _, res := range residuals {
+			if expr.HasVarID(res, x) {
 				shared = true
 				break
 			}
@@ -373,26 +461,28 @@ func (c *Compiler) tryFactorSum(terms []expr.Expr, module bool, agg algebra.Agg)
 		if shared {
 			continue
 		}
-		c.st.Factorings++
+		r.st.Factorings++
 		var rest expr.Expr
 		if module {
-			rest = expr.Simplify(expr.MSum(agg, residuals...), c.s)
+			rest = expr.Simplify(expr.MSum(agg, residuals...), r.s)
 		} else {
-			rest = expr.Simplify(expr.Sum(residuals...), c.s)
+			rest = expr.Simplify(expr.Sum(residuals...), r.s)
 		}
-		restNode, err := c.compile(rest)
+		// The factor is a leaf, so the residual sum is the one
+		// sub-problem: compile it inline rather than fork.
+		restNode, err := r.compile(rest)
 		if err != nil {
 			return nil, false, err
 		}
-		xNode, err := c.compile(expr.VFromID(x))
+		xNode, err := r.compile(expr.VFromID(x))
 		if err != nil {
 			return nil, false, err
 		}
 		var out dtree.Node
 		if module {
-			out, err = c.newNode(&dtree.TensorNode{Agg: agg, Scalar: xNode, Mod: restNode})
+			out, err = r.newNode(&dtree.TensorNode{Agg: agg, Scalar: xNode, Mod: restNode})
 		} else {
-			out, err = c.newNode(&dtree.TimesNode{L: xNode, R: restNode})
+			out, err = r.newNode(&dtree.TimesNode{L: xNode, R: restNode})
 		}
 		if err != nil {
 			return nil, false, err
@@ -482,17 +572,17 @@ func removeFactor(t expr.Expr, x expr.VarID, module bool) (expr.Expr, bool) {
 
 // compileProduct applies rule 2: split the factors of a product into
 // independent groups.
-func (c *Compiler) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, error) {
+func (r *run) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, error) {
 	groups := components(m.Factors)
 	if len(groups) > 1 {
-		c.st.ProductSplits += len(groups) - 1
-		parts := make([]dtree.Node, len(groups))
+		r.st.ProductSplits += len(groups) - 1
+		ges := make([]expr.Expr, len(groups))
 		for i, g := range groups {
-			p, err := c.compile(expr.Simplify(expr.Product(g...), c.s))
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = p
+			ges[i] = expr.Simplify(expr.Product(g...), r.s)
+		}
+		parts := make([]dtree.Node, len(groups))
+		if err := r.compileAll(ges, parts); err != nil {
+			return nil, err
 		}
 		for len(parts) > 1 {
 			next := make([]dtree.Node, 0, (len(parts)+1)/2)
@@ -501,7 +591,7 @@ func (c *Compiler) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, erro
 					next = append(next, parts[i])
 					continue
 				}
-				n, err := c.newNode(&dtree.TimesNode{L: parts[i], R: parts[i+1]})
+				n, err := r.newNode(&dtree.TimesNode{L: parts[i], R: parts[i+1]})
 				if err != nil {
 					return nil, err
 				}
@@ -511,95 +601,84 @@ func (c *Compiler) compileProduct(m expr.Mul, whole expr.Expr) (dtree.Node, erro
 		}
 		return parts[0], nil
 	}
-	return c.shannon(whole)
+	return r.shannon(whole)
 }
 
 // compileTensor applies rule 3: Φ ⊗ α with independent sides.
-func (c *Compiler) compileTensor(t expr.Tensor, whole expr.Expr) (dtree.Node, error) {
+func (r *run) compileTensor(t expr.Tensor, whole expr.Expr) (dtree.Node, error) {
 	if disjoint(t.Scalar, t.Mod) {
-		c.st.TensorSplits++
-		sc, err := c.compile(t.Scalar)
-		if err != nil {
+		r.st.TensorSplits++
+		var sides [2]dtree.Node
+		if err := r.compileAll([]expr.Expr{t.Scalar, t.Mod}, sides[:]); err != nil {
 			return nil, err
 		}
-		mod, err := c.compile(t.Mod)
-		if err != nil {
-			return nil, err
-		}
-		return c.newNode(&dtree.TensorNode{Agg: t.Agg, Scalar: sc, Mod: mod})
+		return r.newNode(&dtree.TensorNode{Agg: t.Agg, Scalar: sides[0], Mod: sides[1]})
 	}
-	return c.shannon(whole)
+	return r.shannon(whole)
 }
 
 // compileCmp applies the pruning rules and then rule 4.
-func (c *Compiler) compileCmp(cm expr.Cmp) (dtree.Node, error) {
-	if !c.opts.DisablePruning {
-		pruned, dropped := pruneCmp(c.s, c.reg, cm)
-		c.st.PrunedTerms += dropped
-		simplified := expr.Simplify(pruned, c.s)
+func (r *run) compileCmp(cm expr.Cmp) (dtree.Node, error) {
+	if !r.opts.DisablePruning {
+		pruned, dropped := pruneCmp(r.s, r.reg, cm)
+		r.st.PrunedTerms += dropped
+		simplified := expr.Simplify(pruned, r.s)
 		if !expr.HasVars(simplified) {
-			v, err := expr.Eval(simplified, nil, c.s)
+			v, err := expr.Eval(simplified, nil, r.s)
 			if err != nil {
 				return nil, err
 			}
-			return c.newNode(&dtree.ConstLeaf{V: v})
+			return r.newNode(&dtree.ConstLeaf{V: v})
 		}
 		var ok bool
 		if cm, ok = simplified.(expr.Cmp); !ok {
-			return c.compile(simplified)
+			return r.compile(simplified)
 		}
 	}
 	if disjoint(cm.L, cm.R) {
-		c.st.CmpSplits++
-		l, err := c.compile(cm.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compile(cm.R)
-		if err != nil {
+		r.st.CmpSplits++
+		var sides [2]dtree.Node
+		if err := r.compileAll([]expr.Expr{cm.L, cm.R}, sides[:]); err != nil {
 			return nil, err
 		}
 		var cap *prob.Cap
-		if !c.opts.DisablePruning {
-			cap = capFor(c.s, c.reg, cm)
+		if !r.opts.DisablePruning {
+			cap = capFor(r.s, r.reg, cm)
 		}
-		return c.newNode(&dtree.CmpNode{Th: cm.Th, L: l, R: r, Cap: cap})
+		return r.newNode(&dtree.CmpNode{Th: cm.Th, L: sides[0], R: sides[1], Cap: cap})
 	}
-	return c.shannon(cm)
+	return r.shannon(cm)
 }
 
 // shannon applies rule 5/6: mutex expansion ⊔x of the chosen variable.
-func (c *Compiler) shannon(e expr.Expr) (dtree.Node, error) {
+func (r *run) shannon(e expr.Expr) (dtree.Node, error) {
 	// Poll unconditionally: one expansion level costs O(|e|) in
 	// substitution and simplification, which dwarfs the check, and a
 	// descent over a wide aggregate can run thousands of levels before
 	// creating its first (post-order) node.
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			return nil, err
-		}
+	if err := r.ctx.Err(); err != nil {
+		return nil, err
 	}
-	x := c.chooseVariable(e)
-	d, err := c.reg.DistByID(x)
+	x := chooseVariable(e, r.opts.Order)
+	d, err := r.reg.DistByID(x)
 	if err != nil {
 		return nil, err
 	}
-	c.st.Shannon++
-	branches := make([]dtree.Branch, 0, d.Size())
-	for _, pair := range d.Pairs() {
-		sub := expr.Simplify(expr.SubstID(e, x, pair.V), c.s)
-		child, err := c.compile(sub)
-		if err != nil {
-			return nil, err
-		}
-		branches = append(branches, dtree.Branch{Val: pair.V, P: pair.P, Child: child})
+	r.st.Shannon++
+	pairs := d.Pairs()
+	subs := make([]expr.Expr, len(pairs))
+	for i, pair := range pairs {
+		subs[i] = expr.Simplify(expr.SubstID(e, x, pair.V), r.s)
 	}
-	return c.newNode(&dtree.ExclusiveNode{Var: expr.VarName(x), Branches: branches})
-}
-
-// chooseVariable applies the configured variable-order heuristic.
-func (c *Compiler) chooseVariable(e expr.Expr) expr.VarID {
-	return chooseVariable(e, c.opts.Order)
+	children := make([]dtree.Node, len(pairs))
+	if err := r.compileAll(subs, children); err != nil {
+		return nil, err
+	}
+	branches := make([]dtree.Branch, len(pairs))
+	for i, pair := range pairs {
+		branches[i] = dtree.Branch{Val: pair.V, P: pair.P, Child: children[i]}
+	}
+	return r.newNode(&dtree.ExclusiveNode{Var: expr.VarName(x), Branches: branches})
 }
 
 // varSetPool recycles the VarID-indexed occurrence sets used by the
@@ -617,8 +696,8 @@ func putVarSet(s *expr.VarSet) {
 // chooseVariable picks the Shannon-expansion variable of e under the
 // given heuristic. It is deterministic — ties break on the
 // lexicographically smallest name, exactly as the original sorted-name
-// implementation did — so sequential and parallel compilation expand the
-// same variables in the same places.
+// implementation did — so every parallelism expands the same variables in
+// the same places.
 func chooseVariable(e expr.Expr, order VarOrder) expr.VarID {
 	vs := getVarSet()
 	defer putVarSet(vs)

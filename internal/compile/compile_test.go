@@ -549,19 +549,14 @@ func TestCompileErrors(t *testing.T) {
 }
 
 func TestVariableChoiceHeuristics(t *testing.T) {
-	reg := boolReg(0.5, "rare", "often")
-	s := algebra.SemiringFor(algebra.Boolean)
 	e := expr.MustParse("often*rare + often + often*often")
-	most := New(s, reg, Options{Order: MostOccurrences})
-	if got := expr.VarName(most.chooseVariable(e)); got != "often" {
+	if got := expr.VarName(chooseVariable(e, MostOccurrences)); got != "often" {
 		t.Errorf("MostOccurrences chose %q", got)
 	}
-	least := New(s, reg, Options{Order: LeastOccurrences})
-	if got := expr.VarName(least.chooseVariable(e)); got != "rare" {
+	if got := expr.VarName(chooseVariable(e, LeastOccurrences)); got != "rare" {
 		t.Errorf("LeastOccurrences chose %q", got)
 	}
-	lex := New(s, reg, Options{Order: Lexicographic})
-	if got := expr.VarName(lex.chooseVariable(e)); got != "often" {
+	if got := expr.VarName(chooseVariable(e, Lexicographic)); got != "often" {
 		t.Errorf("Lexicographic chose %q", got)
 	}
 }

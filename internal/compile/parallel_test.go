@@ -1,11 +1,12 @@
-// Differential and determinism tests for the parallel compilation path:
-// ParallelCompiler vs. the sequential Compiler vs. brute-force
+// Differential and determinism tests for the compilation schedules: the
+// one Compiler at every parallelism of parallelisms vs. brute-force
 // possible-worlds enumeration, over randomized instances with fixed
 // seeds. The external test package lets the harness use the gen and
 // worlds packages (gen imports engine, which imports compile).
 package compile_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -19,6 +20,25 @@ import (
 	"pvcagg/internal/value"
 	"pvcagg/internal/worlds"
 )
+
+// parallelisms are the rows every schedule-sensitive test runs: inline,
+// and forked with one and three spare workers.
+var parallelisms = []int{1, 2, 4}
+
+// compileAt compiles e with the one Compiler at parallelism par and
+// evaluates the d-tree, checking Definition 7 on the way.
+func compileAt(t *testing.T, s algebra.Semiring, inst gen.Instance, opts compile.Options, par int) prob.Dist {
+	t.Helper()
+	res, err := compile.NewParallel(s, inst.Registry, opts, par).Compile(inst.Expr)
+	if err != nil {
+		t.Fatalf("parallelism %d: compile: %v", par, err)
+	}
+	d, _, err := dtree.Evaluate(evalRoot(t, res), dtree.Env{Semiring: s, Registry: inst.Registry})
+	if err != nil {
+		t.Fatalf("parallelism %d: evaluate: %v", par, err)
+	}
+	return d
+}
 
 // diffParams enumerates the randomized instance grid of the differential
 // harness: 3 sizes × 3 shapes × 4 aggregation monoids × 3 comparison
@@ -62,8 +82,8 @@ func evalRoot(t *testing.T, res compile.Result) dtree.Node {
 }
 
 // TestParallelCompileDifferential compiles 108 randomized conditional
-// expressions sequentially, in parallel, and by brute-force enumeration,
-// and requires all three distributions to agree.
+// expressions at every parallelism and by brute-force enumeration, and
+// requires every row to match enumeration and the rows to agree.
 func TestParallelCompileDifferential(t *testing.T) {
 	params := diffParams()
 	if len(params) < 100 {
@@ -76,37 +96,25 @@ func TestParallelCompileDifferential(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			inst := gen.MustNew(p)
-			seqRes, err := compile.New(s, inst.Registry, compile.Options{}).Compile(inst.Expr)
-			if err != nil {
-				t.Fatalf("sequential compile: %v", err)
-			}
-			seqDist, _, err := dtree.Evaluate(evalRoot(t, seqRes), dtree.Env{Semiring: s, Registry: inst.Registry})
-			if err != nil {
-				t.Fatalf("sequential evaluate: %v", err)
-			}
-			parRes, err := compile.ParallelCompile(s, inst.Registry, compile.Options{}, 4, inst.Expr)
-			if err != nil {
-				t.Fatalf("parallel compile: %v", err)
-			}
-			parDist, _, err := dtree.Evaluate(evalRoot(t, parRes), dtree.Env{Semiring: s, Registry: inst.Registry})
-			if err != nil {
-				t.Fatalf("parallel evaluate: %v", err)
-			}
-			if !parDist.Equal(seqDist, 1e-12) {
-				t.Fatalf("parallel %v != sequential %v", parDist, seqDist)
-			}
 			brute, err := worlds.Enumerate(inst.Expr, inst.Registry, s)
 			if err != nil {
 				t.Fatalf("enumerate: %v", err)
 			}
-			if !parDist.Equal(brute, 1e-9) {
-				t.Fatalf("parallel %v != possible worlds %v", parDist, brute)
+			ref := compileAt(t, s, inst, compile.Options{}, 1)
+			for _, par := range parallelisms {
+				d := compileAt(t, s, inst, compile.Options{}, par)
+				if !d.Equal(ref, 1e-12) {
+					t.Fatalf("parallelism %d: %v != parallelism 1 %v", par, d, ref)
+				}
+				if !d.Equal(brute, 1e-9) {
+					t.Fatalf("parallelism %d: %v != possible worlds %v", par, d, brute)
+				}
 			}
 		})
 	}
 }
 
-// TestParallelCompileOptions checks the parallel path under every
+// TestParallelCompileOptions checks every parallelism under every
 // ablation switch and variable order against brute force.
 func TestParallelCompileOptions(t *testing.T) {
 	s := algebra.SemiringFor(algebra.Boolean)
@@ -128,23 +136,16 @@ func TestParallelCompileOptions(t *testing.T) {
 		{Order: compile.Lexicographic},
 	}
 	for i, o := range opts {
-		res, err := compile.ParallelCompile(s, inst.Registry, o, 4, inst.Expr)
-		if err != nil {
-			t.Fatalf("options %d: %v", i, err)
-		}
-		d, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: s, Registry: inst.Registry})
-		if err != nil {
-			t.Fatalf("options %d: evaluate: %v", i, err)
-		}
-		if !d.Equal(brute, 1e-9) {
-			t.Fatalf("options %d: %v != possible worlds %v", i, d, brute)
+		for _, par := range parallelisms {
+			if d := compileAt(t, s, inst, o, par); !d.Equal(brute, 1e-9) {
+				t.Fatalf("options %d, parallelism %d: %v != possible worlds %v", i, par, d, brute)
+			}
 		}
 	}
 }
 
-// TestParallelCompileDeterminism requires identical probabilities (well
-// within 1e-12) across repeated runs and across parallelism 1, 2 and
-// GOMAXPROCS.
+// TestParallelCompileDeterminism requires bit-identical distributions
+// across repeated runs and across every parallelism and GOMAXPROCS.
 func TestParallelCompileDeterminism(t *testing.T) {
 	s := algebra.SemiringFor(algebra.Boolean)
 	p := gen.Params{
@@ -152,33 +153,19 @@ func TestParallelCompileDeterminism(t *testing.T) {
 		MaxV: 15, AggL: algebra.Sum, Theta: value.LE, C: 20, Seed: 42,
 	}
 	inst := gen.MustNew(p)
-	distribution := func(par int) (prob.Dist, error) {
-		res, err := compile.ParallelCompile(s, inst.Registry, compile.Options{}, par, inst.Expr)
-		if err != nil {
-			return prob.Dist{}, err
-		}
-		d, _, err := dtree.Evaluate(res.Root, dtree.Env{Semiring: s, Registry: inst.Registry})
-		return d, err
-	}
-	ref, err := distribution(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+	ref := compileAt(t, s, inst, compile.Options{}, 1)
+	for _, par := range append(parallelisms, runtime.GOMAXPROCS(0)) {
 		for rep := 0; rep < 3; rep++ {
-			d, err := distribution(par)
-			if err != nil {
-				t.Fatalf("parallelism %d rep %d: %v", par, rep, err)
-			}
-			if !d.Equal(ref, 1e-12) {
+			if d := compileAt(t, s, inst, compile.Options{}, par); !d.Equal(ref, 0) {
 				t.Fatalf("parallelism %d rep %d: %v != reference %v", par, rep, d, ref)
 			}
 		}
 	}
 }
 
-// TestParallelCompileMaxNodes checks that the shared node budget aborts
-// a parallel compilation with the same error as the sequential path.
+// TestParallelCompileMaxNodes checks that the node budget aborts the
+// compilation with ErrNodeBudget at every parallelism, and that Stats
+// still account for the nodes created before the abort.
 func TestParallelCompileMaxNodes(t *testing.T) {
 	s := algebra.SemiringFor(algebra.Boolean)
 	p := gen.Params{
@@ -186,11 +173,13 @@ func TestParallelCompileMaxNodes(t *testing.T) {
 		MaxV: 15, AggL: algebra.Sum, Theta: value.EQ, C: 9, Seed: 3,
 	}
 	inst := gen.MustNew(p)
-	_, err := compile.ParallelCompile(s, inst.Registry, compile.Options{MaxNodes: 5}, 4, inst.Expr)
-	if err == nil {
-		t.Fatal("expected node-budget error, got nil")
-	}
-	if !strings.Contains(err.Error(), "exceeds 5 nodes") {
-		t.Fatalf("unexpected error: %v", err)
+	for _, par := range parallelisms {
+		res, err := compile.NewParallel(s, inst.Registry, compile.Options{MaxNodes: 5}, par).Compile(inst.Expr)
+		if !errors.Is(err, compile.ErrNodeBudget) || !strings.Contains(err.Error(), "exceeds 5 nodes") {
+			t.Fatalf("parallelism %d: error = %v, want the 5-node budget error", par, err)
+		}
+		if res.Stats.Nodes == 0 {
+			t.Errorf("parallelism %d: failed compile reports no nodes created", par)
+		}
 	}
 }

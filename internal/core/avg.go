@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -62,11 +63,11 @@ func (d AvgDist) Expectation() float64 {
 // expression and a COUNT expression over the same group (they share
 // variables; the joint distribution handles the correlation). The count
 // expression must take non-negative integer values.
-func (p *Pipeline) Average(sum, count expr.Expr) (AvgDist, error) {
+func (p *Pipeline) Average(ctx context.Context, sum, count expr.Expr) (AvgDist, error) {
 	if sum.Kind() != expr.KindModule || count.Kind() != expr.KindModule {
 		return AvgDist{}, fmt.Errorf("core: Average expects two semimodule expressions")
 	}
-	joint, err := p.Joint([]expr.Expr{sum, count})
+	joint, err := p.Joint(ctx, []expr.Expr{sum, count})
 	if err != nil {
 		return AvgDist{}, err
 	}
@@ -106,7 +107,7 @@ func (p *Pipeline) Average(sum, count expr.Expr) (AvgDist, error) {
 // AverageOfGroup builds the SUM and COUNT expressions of one group from
 // its tuple annotations and values, then computes the average
 // distribution: the exact semantics of AVG(B) over an uncertain group.
-func (p *Pipeline) AverageOfGroup(anns []expr.Expr, values []value.V) (AvgDist, error) {
+func (p *Pipeline) AverageOfGroup(ctx context.Context, anns []expr.Expr, values []value.V) (AvgDist, error) {
 	if len(anns) != len(values) {
 		return AvgDist{}, fmt.Errorf("core: %d annotations for %d values", len(anns), len(values))
 	}
@@ -119,7 +120,7 @@ func (p *Pipeline) AverageOfGroup(anns []expr.Expr, values []value.V) (AvgDist, 
 		sumTerms[i] = expr.Scale(sumAgg, anns[i], values[i])
 		cntTerms[i] = expr.Scale(sumAgg, anns[i], value.Int(1))
 	}
-	return p.Average(expr.MSum(sumAgg, sumTerms...), expr.MSum(sumAgg, cntTerms...))
+	return p.Average(ctx, expr.MSum(sumAgg, sumTerms...), expr.MSum(sumAgg, cntTerms...))
 }
 
 func reduce(num, den int64) Ratio {

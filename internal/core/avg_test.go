@@ -15,7 +15,7 @@ func TestAverageTwoTuples(t *testing.T) {
 	reg.DeclareBool("x", 0.5)
 	reg.DeclareBool("y", 0.5)
 	p := New(algebra.Boolean, reg)
-	d, err := p.AverageOfGroup(
+	d, err := p.AverageOfGroup(ctx,
 		[]expr.Expr{expr.V("x"), expr.V("y")},
 		[]value.V{value.Int(10), value.Int(20)},
 	)
@@ -51,7 +51,7 @@ func TestAverageNonIntegerRatios(t *testing.T) {
 	reg.DeclareBool("b", 0.5)
 	reg.DeclareBool("c", 0.5)
 	p := New(algebra.Boolean, reg)
-	d, err := p.AverageOfGroup(
+	d, err := p.AverageOfGroup(ctx,
 		[]expr.Expr{expr.V("a"), expr.V("b"), expr.V("c")},
 		[]value.V{value.Int(1), value.Int(2), value.Int(4)},
 	)
@@ -90,7 +90,7 @@ func TestAverageNonIntegerRatios(t *testing.T) {
 func TestAverageEmptyGroup(t *testing.T) {
 	reg := vars.NewRegistry()
 	p := New(algebra.Boolean, reg)
-	d, err := p.AverageOfGroup(nil, nil)
+	d, err := p.AverageOfGroup(ctx, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +103,10 @@ func TestAverageErrors(t *testing.T) {
 	reg := vars.NewRegistry()
 	reg.DeclareBool("x", 0.5)
 	p := New(algebra.Boolean, reg)
-	if _, err := p.Average(expr.V("x"), expr.V("x")); err == nil {
+	if _, err := p.Average(ctx, expr.V("x"), expr.V("x")); err == nil {
 		t.Errorf("semiring inputs accepted")
 	}
-	if _, err := p.AverageOfGroup([]expr.Expr{expr.V("x")}, nil); err == nil {
+	if _, err := p.AverageOfGroup(ctx, []expr.Expr{expr.V("x")}, nil); err == nil {
 		t.Errorf("length mismatch accepted")
 	}
 }

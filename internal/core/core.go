@@ -21,11 +21,17 @@ import (
 )
 
 // Pipeline computes distributions of expressions over a fixed probability
-// space. It is not safe for concurrent use.
+// space. Its methods keep no state between calls, so one Pipeline serves
+// concurrent calls as long as its fields are not changed meanwhile.
 type Pipeline struct {
 	Semiring algebra.Semiring
 	Registry *vars.Registry
 	Options  compile.Options
+	// Parallelism bounds the goroutines one compilation fans out to (see
+	// compile.NewParallel); the zero value, like 1, compiles on the
+	// calling goroutine. Evaluation stays single-threaded. Every
+	// parallelism returns bit-identical distributions.
+	Parallelism int
 }
 
 // New returns a pipeline over the given semiring kind and registry with
@@ -46,16 +52,12 @@ type Report struct {
 	EvalTime    time.Duration
 }
 
-// Distribution compiles e and computes its exact probability distribution.
-func (p *Pipeline) Distribution(e expr.Expr) (prob.Dist, Report, error) {
-	return p.DistributionCtx(context.Background(), e)
-}
-
-// DistributionCtx is Distribution under a context: compilation polls ctx
-// at expansion steps and aborts with ctx.Err() once it is cancelled.
-func (p *Pipeline) DistributionCtx(ctx context.Context, e expr.Expr) (prob.Dist, Report, error) {
+// Distribution compiles e and computes its exact probability
+// distribution. Compilation polls ctx at expansion steps and aborts with
+// ctx.Err() once it is cancelled.
+func (p *Pipeline) Distribution(ctx context.Context, e expr.Expr) (prob.Dist, Report, error) {
 	var rep Report
-	c := compile.New(p.Semiring, p.Registry, p.Options)
+	c := compile.NewParallel(p.Semiring, p.Registry, p.Options, p.Parallelism)
 	t0 := time.Now()
 	res, err := c.CompileCtx(ctx, e)
 	if err != nil {
@@ -77,20 +79,35 @@ func (p *Pipeline) DistributionCtx(ctx context.Context, e expr.Expr) (prob.Dist,
 // TruthProbability computes the probability that the semiring expression e
 // evaluates to a non-zero semiring element — the confidence of a tuple
 // annotated with e.
-func (p *Pipeline) TruthProbability(e expr.Expr) (float64, Report, error) {
-	return p.TruthProbabilityCtx(context.Background(), e)
-}
-
-// TruthProbabilityCtx is TruthProbability under a context.
-func (p *Pipeline) TruthProbabilityCtx(ctx context.Context, e expr.Expr) (float64, Report, error) {
+func (p *Pipeline) TruthProbability(ctx context.Context, e expr.Expr) (float64, Report, error) {
 	if e.Kind() != expr.KindSemiring {
 		return 0, Report{}, fmt.Errorf("core: TruthProbability of a module expression %s", expr.String(e))
 	}
-	d, rep, err := p.DistributionCtx(ctx, e)
+	d, rep, err := p.Distribution(ctx, e)
 	if err != nil {
 		return 0, rep, err
 	}
 	return d.TruthProbability(), rep, nil
+}
+
+// TruthProbabilityApprox computes guaranteed bounds on the probability that
+// the semiring expression e is non-zero, by anytime partial d-tree
+// expansion (compile.Approximate). The pipeline's compilation options
+// govern the exact closure of frontier leaves and the ε = 0 fallback; the
+// returned interval always contains the exact probability, and
+// ApproxReport.Converged reports whether its width reached opts.Eps within
+// the budgets. The frontier loop and every exact leaf closure poll ctx,
+// so cancellation aborts the computation promptly with ctx.Err().
+func (p *Pipeline) TruthProbabilityApprox(ctx context.Context, e expr.Expr, opts compile.ApproxOptions) (compile.Bounds, compile.ApproxReport, error) {
+	if e.Kind() != expr.KindSemiring {
+		return compile.Bounds{}, compile.ApproxReport{}, fmt.Errorf("core: TruthProbabilityApprox of a module expression %s", expr.String(e))
+	}
+	opts.Compile = p.Options
+	b, rep, err := compile.ApproximateCtx(ctx, p.Semiring, p.Registry, e, opts)
+	if err != nil {
+		return compile.Bounds{}, rep, fmt.Errorf("core: approximate %s: %w", expr.String(e), err)
+	}
+	return b, rep, nil
 }
 
 // JointOutcome is one row of a joint distribution: the values the input
@@ -105,7 +122,7 @@ type JointOutcome struct {
 // variables until the expressions become pairwise independent; independent
 // expressions multiply (Section 5, "Compiling Joint Probability
 // Distributions"). Outcomes are sorted by value tuple.
-func (p *Pipeline) Joint(es []expr.Expr) ([]JointOutcome, error) {
+func (p *Pipeline) Joint(ctx context.Context, es []expr.Expr) ([]JointOutcome, error) {
 	for _, e := range es {
 		if err := expr.Validate(e); err != nil {
 			return nil, err
@@ -119,7 +136,7 @@ func (p *Pipeline) Joint(es []expr.Expr) ([]JointOutcome, error) {
 		simplified[i] = expr.Simplify(e, p.Semiring)
 	}
 	acc := map[string]float64{}
-	if err := p.joint(simplified, 1, acc); err != nil {
+	if err := p.joint(ctx, simplified, 1, acc); err != nil {
 		return nil, err
 	}
 	out := make([]JointOutcome, 0, len(acc))
@@ -136,7 +153,7 @@ func (p *Pipeline) Joint(es []expr.Expr) ([]JointOutcome, error) {
 // independent, their joint is the product of the individual distributions;
 // otherwise it Shannon-expands a variable shared between at least two of
 // them.
-func (p *Pipeline) joint(es []expr.Expr, weight float64, acc map[string]float64) error {
+func (p *Pipeline) joint(ctx context.Context, es []expr.Expr, weight float64, acc map[string]float64) error {
 	if x, shared := sharedVariable(es); shared {
 		d, err := p.Registry.Dist(x)
 		if err != nil {
@@ -147,7 +164,7 @@ func (p *Pipeline) joint(es []expr.Expr, weight float64, acc map[string]float64)
 			for i, e := range es {
 				sub[i] = expr.Simplify(expr.Subst(e, x, pair.V), p.Semiring)
 			}
-			if err := p.joint(sub, weight*pair.P, acc); err != nil {
+			if err := p.joint(ctx, sub, weight*pair.P, acc); err != nil {
 				return err
 			}
 		}
@@ -155,7 +172,7 @@ func (p *Pipeline) joint(es []expr.Expr, weight float64, acc map[string]float64)
 	}
 	dists := make([]prob.Dist, len(es))
 	for i, e := range es {
-		d, _, err := p.Distribution(e)
+		d, _, err := p.Distribution(ctx, e)
 		if err != nil {
 			return err
 		}

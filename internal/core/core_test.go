@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,12 +15,14 @@ import (
 	"pvcagg/internal/worlds"
 )
 
+var ctx = context.Background()
+
 func TestDistributionEndToEnd(t *testing.T) {
 	reg := vars.NewRegistry()
 	reg.DeclareBool("x", 0.5)
 	reg.DeclareBool("y", 0.4)
 	p := New(algebra.Boolean, reg)
-	d, rep, err := p.Distribution(expr.MustParse("x+y"))
+	d, rep, err := p.Distribution(ctx, expr.MustParse("x+y"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +39,14 @@ func TestTruthProbability(t *testing.T) {
 	reg := vars.NewRegistry()
 	reg.DeclareBool("x", 0.25)
 	p := New(algebra.Boolean, reg)
-	got, _, err := p.TruthProbability(expr.V("x"))
+	got, _, err := p.TruthProbability(ctx, expr.V("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("TruthProbability = %v", got)
 	}
-	if _, _, err := p.TruthProbability(expr.MustParse("min(x @min 3)")); err == nil {
+	if _, _, err := p.TruthProbability(ctx, expr.MustParse("min(x @min 3)")); err == nil {
 		t.Errorf("module expression accepted by TruthProbability")
 	}
 }
@@ -60,7 +63,7 @@ func TestJointPaperExample(t *testing.T) {
 	reg.Declare("b", mk(pb))
 	reg.Declare("c", mk(pc))
 	p := New(algebra.Natural, reg)
-	joint, err := p.Joint([]expr.Expr{expr.MustParse("a+b"), expr.MustParse("a*c")})
+	joint, err := p.Joint(ctx, []expr.Expr{expr.MustParse("a+b"), expr.MustParse("a*c")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +106,7 @@ func TestJointMatchesEnumeration(t *testing.T) {
 			return expr.Sum(t1, t2)
 		}
 		es := []expr.Expr{mk(), mk()}
-		joint, err := p.Joint(es)
+		joint, err := p.Joint(ctx, es)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +136,7 @@ func TestMixedMonoidAnnotation(t *testing.T) {
 	}
 	e := expr.MustParse("[min(x0 @min 5, x1 @min 9) <= 6] * [sum(x2 @sum 2, x3 @sum 2) >= 2]")
 	p := New(algebra.Boolean, reg)
-	d, _, err := p.Distribution(e)
+	d, _, err := p.Distribution(ctx, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +152,10 @@ func TestMixedMonoidAnnotation(t *testing.T) {
 func TestDistributionErrorPropagation(t *testing.T) {
 	reg := vars.NewRegistry()
 	p := New(algebra.Boolean, reg)
-	if _, _, err := p.Distribution(expr.V("ghost")); err == nil {
+	if _, _, err := p.Distribution(ctx, expr.V("ghost")); err == nil {
 		t.Errorf("undeclared variable accepted")
 	}
-	if _, err := p.Joint([]expr.Expr{expr.V("ghost")}); err == nil {
+	if _, err := p.Joint(ctx, []expr.Expr{expr.V("ghost")}); err == nil {
 		t.Errorf("Joint accepted undeclared variable")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"pvcagg/internal/compile"
 	"pvcagg/internal/core"
 	"pvcagg/internal/expr"
-	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/worlds"
 )
@@ -62,31 +61,19 @@ type ExecConfig struct {
 }
 
 // worker computes outcomes for one goroutine of the pool: it owns a
-// pipeline (core.Pipeline is not safe for concurrent use) and the
+// pipeline, compiling at the leftover intra-tuple parallelism, and the
 // per-tuple strategy dispatch. Tuples share nothing beyond the read-only
 // registry.
 type worker struct {
-	pl    *core.Pipeline
-	inner int // leftover intra-tuple compilation parallelism
-	cfg   *ExecConfig
+	pl  *core.Pipeline
+	cfg *ExecConfig
 }
 
 func newWorker(db *pvc.Database, cfg *ExecConfig, inner int) *worker {
 	return &worker{
-		pl:    &core.Pipeline{Semiring: db.Semiring(), Registry: db.Registry, Options: cfg.Compile},
-		inner: inner,
-		cfg:   cfg,
+		pl:  &core.Pipeline{Semiring: db.Semiring(), Registry: db.Registry, Options: cfg.Compile, Parallelism: inner},
+		cfg: cfg,
 	}
-}
-
-// distribution routes one exact distribution computation through either
-// the sequential or the parallel compilation path (inner > 1). Both paths
-// return bit-identical distributions.
-func (w *worker) distribution(ctx context.Context, e expr.Expr) (prob.Dist, core.Report, error) {
-	if w.inner > 1 {
-		return w.pl.DistributionParallelCtx(ctx, e, w.inner)
-	}
-	return w.pl.DistributionCtx(ctx, e)
 }
 
 // outcome computes the full probabilistic interpretation of one result
@@ -98,7 +85,7 @@ func (w *worker) outcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols [
 	out := TupleOutcome{Index: idx, Tuple: t}
 	switch {
 	case w.cfg.Approx != nil:
-		b, rep, err := w.pl.TruthProbabilityApproxCtx(ctx, t.Ann, *w.cfg.Approx)
+		b, rep, err := w.pl.TruthProbabilityApprox(ctx, t.Ann, *w.cfg.Approx)
 		if err != nil {
 			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Key(), err)
 		}
@@ -112,7 +99,7 @@ func (w *worker) outcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols [
 		out.Confidence = b
 		out.Report.Samples = w.cfg.Samples
 	default:
-		d, rep, err := w.distribution(ctx, t.Ann)
+		d, rep, err := w.pl.Distribution(ctx, t.Ann)
 		if err != nil {
 			return TupleOutcome{}, fmt.Errorf("engine: annotation of tuple %s: %w", t.Key(), err)
 		}
@@ -130,7 +117,7 @@ func (w *worker) outcome(ctx context.Context, idx int, t pvc.Tuple, moduleCols [
 		if err != nil {
 			return TupleOutcome{}, err
 		}
-		d, rep, err := w.distribution(ctx, e)
+		d, rep, err := w.pl.Distribution(ctx, e)
 		if err != nil {
 			return TupleOutcome{}, fmt.Errorf("engine: aggregation value %s: %w", expr.String(e), err)
 		}

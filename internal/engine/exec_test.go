@@ -10,8 +10,10 @@ import (
 	"pvcagg/internal/compile"
 	"pvcagg/internal/engine"
 	"pvcagg/internal/expr"
+	"pvcagg/internal/prob"
 	"pvcagg/internal/pvc"
 	"pvcagg/internal/testutil"
+	"pvcagg/internal/value"
 )
 
 // streamDB builds a pvc-table with some healthy tuples and two tuples
@@ -132,6 +134,32 @@ func TestPanicContainment(t *testing.T) {
 		t.Fatal("Outcomes: want error")
 	} else if !engine.IsPanic(err) || !strings.Contains(err.Error(), "panic computing tuple 5") {
 		t.Errorf("Outcomes error %q is not the contained panic", err)
+	}
+	// One tuple on four workers compiles with intra-tuple parallelism 4,
+	// and its annotation panics inside a forked branch (the Natural
+	// semiring's PROD action meeting a negative exponent): the panic
+	// still surfaces as that tuple's PanicError.
+	natDB := pvc.NewDatabase(algebra.Natural)
+	natDB.Registry.Declare("px", prob.FromPairs([]prob.Pair{{V: value.Int(1), P: 0.5}, {V: value.Int(2), P: 0.5}}))
+	for _, name := range []string{"py", "pz"} {
+		natDB.Registry.Declare(name, prob.FromPairs([]prob.Pair{{V: value.Int(-1), P: 0.5}, {V: value.Int(1), P: 0.5}}))
+	}
+	natRel := pvc.NewRelation("N", pvc.Schema{{Name: "a", Type: pvc.TValue}})
+	natRel.Tuples = []pvc.Tuple{{
+		Cells: []pvc.Cell{pvc.IntCell(0)},
+		Ann:   expr.MustParse("[prod(px*py @prod 2, px*pz @prod 3, py*pz @prod 5, px @prod 7) <= 100]"),
+	}}
+	natDB.Add(natRel)
+	yielded := 0
+	for _, err := range engine.Stream(context.Background(), natDB, natRel, engine.ExecConfig{Parallelism: 4}) {
+		yielded++
+		var pe *engine.PanicError
+		if !errors.As(err, &pe) || pe.Index != 0 || !strings.Contains(err.Error(), "negative exponent") {
+			t.Errorf("forked compile: error = %v, want tuple 0's PanicError", err)
+		}
+	}
+	if yielded != 1 {
+		t.Errorf("forked compile: %d outcomes, want 1", yielded)
 	}
 	checkLeaks()
 }

@@ -14,8 +14,9 @@ import (
 // independently (they only share the read-only registry), so the tuples
 // of a pvc-table fan out to a bounded worker pool. When tuples are
 // scarcer than workers, the leftover parallelism moves *inside* each
-// tuple's compilation (compile.ParallelCompiler fans Shannon branches),
-// so a single hard tuple still saturates the machine.
+// tuple's compilation (the compiler fans independent sub-problems and
+// Shannon branches out, see compile.NewParallel), so a single hard tuple
+// still saturates the machine.
 
 // ParallelOptions configure batched parallel probability computation.
 type ParallelOptions struct {

@@ -80,5 +80,5 @@ func JointResult(db *pvc.Database, rel *pvc.Relation, row int) ([]core.JointOutc
 		es = append(es, e)
 	}
 	p := core.New(db.Kind, db.Registry)
-	return p.Joint(es)
+	return p.Joint(context.Background(), es)
 }

@@ -44,10 +44,11 @@
 //     on hard queries; bound it with WithCompileBudget. The probability
 //     step is distributed over a bounded worker pool (WithParallelism,
 //     default GOMAXPROCS); when tuples are scarcer than workers the
-//     leftover parallelism moves inside each tuple's compilation,
-//     fanning Shannon branches over a shared memo table. All heuristics
-//     are deterministic, so results are bit-for-bit identical at every
-//     parallelism.
+//     leftover parallelism moves inside each tuple's compilation: the
+//     one compiler fans independent sub-problems and Shannon branches
+//     out over a shared memo table (Pipeline.Parallelism sets the same
+//     fan-out for one expression). All heuristics are deterministic, so
+//     results are bit-for-bit identical at every parallelism.
 //   - WithMode(Anytime): guaranteed confidence bounds of width ≤ ε
 //     (WithEps, default DefaultEps) by priority-driven partial
 //     expansion; aggregation-column distributions stay exact. Budgets

@@ -1,6 +1,7 @@
 package pvcagg_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestQuickStart(t *testing.T) {
 	reg.DeclareBool("y", 0.5)
 	p := pvcagg.NewPipeline(pvcagg.Boolean, reg)
 	e := pvcagg.MustParseExpr("[min(x @min 10, y @min 20) <= 15]")
-	d, rep, err := p.Distribution(e)
+	d, rep, err := p.Distribution(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestFacadeBaselinesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pvcagg.NewPipeline(pvcagg.Boolean, reg)
-	compiled, _, err := p.Distribution(e)
+	compiled, _, err := p.Distribution(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,25 +91,27 @@ func TestFacadeBaselinesAgree(t *testing.T) {
 	}
 }
 
-// The "Parallel execution" example from the package documentation: the
-// parallel entry points return the same probabilities as the sequential
-// ones.
+// The "Parallel execution" example from the package documentation:
+// every Pipeline.Parallelism returns the same probabilities.
 func TestFacadeParallel(t *testing.T) {
 	reg := pvcagg.NewRegistry()
 	reg.DeclareBool("x", 0.5)
 	reg.DeclareBool("y", 0.5)
 	p := pvcagg.NewPipeline(pvcagg.Boolean, reg)
 	e := pvcagg.MustParseExpr("[min(x @min 10, y @min 20) <= 15]")
-	seq, _, err := p.Distribution(e)
+	seq, _, err := p.Distribution(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := p.DistributionParallel(e, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Equal(seq, 1e-12) {
-		t.Errorf("parallel %v != sequential %v", par, seq)
+	for _, par := range []int{1, 2, 4} {
+		p.Parallelism = par
+		d, _, err := p.Distribution(context.Background(), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Equal(seq, 1e-12) {
+			t.Errorf("parallelism %d: %v != inline %v", par, d, seq)
+		}
 	}
 
 	db := pvcagg.NewDatabase(pvcagg.Boolean)
@@ -216,7 +219,7 @@ func TestFacadeGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pvcagg.NewPipeline(pvcagg.Boolean, inst.Registry)
-	if _, _, err := p.Distribution(inst.Expr); err != nil {
+	if _, _, err := p.Distribution(context.Background(), inst.Expr); err != nil {
 		t.Fatal(err)
 	}
 }
